@@ -89,6 +89,16 @@ func twoProcEnvs(t *testing.T, design Design) (*rpc.Env, *rpc.Env, *fabric.Fabri
 	return e0, e1, f
 }
 
+// fetchOne fetches a single block as a batch of one, with the default
+// chunk size.
+func fetchOne(e *rpc.Env, peer fabric.Addr, blockID string, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
+	rs, vt, err := e.FetchBlocks(peer, []string{blockID}, 0, 0, 0, at)
+	if err != nil {
+		return nil, vt, err
+	}
+	return rs[0].Data, rs[0].VT, rs[0].Err
+}
+
 func TestBasicDesignRPC(t *testing.T) {
 	e0, e1, f := twoProcEnvs(t, DesignBasic)
 	if err := e1.RegisterEndpoint("Echo", func(c *rpc.Call) {
@@ -122,7 +132,7 @@ func TestBasicDesignLargeFrameUsesRendezvous(t *testing.T) {
 	big := make([]byte, 512<<10)
 	e1.RegisterChunkResolver(func(id string) ([]byte, bool) { return big, true })
 	f.ResetStats()
-	data, _, err := e0.FetchChunk(e1.Addr(), "blk", 0)
+	data, _, err := fetchOne(e0, e1.Addr(), "blk", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,7 @@ func TestOptimizedDesignSplitsHeaderAndBody(t *testing.T) {
 	}
 	e1.RegisterChunkResolver(func(id string) ([]byte, bool) { return body, true })
 	f.ResetStats()
-	data, vt, err := e0.FetchChunk(e1.Addr(), "shuffle_0_0_0", 0)
+	data, vt, err := fetchOne(e0, e1.Addr(), "shuffle_0_0_0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +362,7 @@ func TestOptimizedSmallBodyStillViaMPI(t *testing.T) {
 	e0, e1, f := twoProcEnvs(t, DesignOptimized)
 	e1.RegisterChunkResolver(func(id string) ([]byte, bool) { return []byte("tiny"), true })
 	f.ResetStats()
-	data, _, err := e0.FetchChunk(e1.Addr(), "b", 0)
+	data, _, err := fetchOne(e0, e1.Addr(), "b", 0)
 	if err != nil || string(data) != "tiny" {
 		t.Fatalf("fetch = %q, %v", data, err)
 	}
@@ -378,7 +388,7 @@ func TestManyConcurrentFetchesOptimized(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("b%d", i)
-			data, _, err := e0.FetchChunk(e1.Addr(), id, 0)
+			data, _, err := fetchOne(e0, e1.Addr(), id, 0)
 			if err != nil {
 				errs <- err
 				return

@@ -329,7 +329,8 @@ func (h *handshakeHandler) ChannelRead(ctx *netty.Context, msg any) {
 	h.writeHandshake(ctx.Channel(), int(peerRecv), int(peerSend), ctx.VT())
 }
 
-// optOutbound diverts shuffle bodies (ChunkFetchSuccess, StreamResponse)
+// optOutbound diverts shuffle, stream, collective and push bodies
+// (ChunkFetchSuccess, StreamResponse, CollectiveChunk, PushBlockRequest)
 // to MPI, leaving the header on the socket — the Optimized design's
 // MessageWithHeader split (Fig. 6).
 type optOutbound struct {
@@ -344,16 +345,6 @@ func (h *optOutbound) Write(ctx *netty.Context, msg any) {
 		return
 	}
 	switch m := msg.(type) {
-	case *rpc.ChunkFetchSuccess:
-		if !m.BodyViaMPI {
-			tag := mpi.AllocTag()
-			r.h.Isend(r.rank, tag, m.Body, ctx.VT())
-			ctx.Write(&rpc.ChunkFetchSuccess{
-				FetchID: m.FetchID, BlockID: m.BlockID,
-				BodyViaMPI: true, BodySize: len(m.Body), BodyTag: tag,
-			})
-			return
-		}
 	case *rpc.StreamResponse:
 		if !m.BodyViaMPI {
 			tag := mpi.AllocTag()
@@ -363,15 +354,15 @@ func (h *optOutbound) Write(ctx *netty.Context, msg any) {
 			})
 			return
 		}
-	case *rpc.BlockBatchChunk:
-		// Each batch chunk body becomes exactly one eager/rendezvous MPI
+	case *rpc.ChunkFetchSuccess:
+		// Each shuffle chunk body becomes exactly one eager/rendezvous MPI
 		// message (§IV-E); the chunk header stays on the socket and
 		// triggers the matching MPI_Recv on the other side. Missing/empty
 		// chunks are header-only and skip the MPI path.
 		if !m.BodyViaMPI && !m.Missing && len(m.Body) > 0 {
 			tag := mpi.AllocTag()
 			r.h.Isend(r.rank, tag, m.Body, ctx.VT())
-			ctx.Write(&rpc.BlockBatchChunk{
+			ctx.Write(&rpc.ChunkFetchSuccess{
 				BatchID: m.BatchID, Index: m.Index,
 				Total: m.Total, Offset: m.Offset,
 				BodyViaMPI: true, BodySize: len(m.Body), BodyTag: tag,
@@ -389,7 +380,6 @@ func (h *optOutbound) Write(ctx *netty.Context, msg any) {
 		// announcements, zero-byte payloads) are header-only.
 		if !m.BodyViaMPI && len(m.Body) > 0 {
 			tag := mpi.AllocTag()
-			thr := r.h.EagerThreshold()
 			vt := ctx.VT()
 			// Header first: the tiny socket frame claims the NIC before
 			// the body occupies it, so its wire latency hides behind the
@@ -399,13 +389,7 @@ func (h *optOutbound) Write(ctx *netty.Context, msg any) {
 				Total: m.Total, Offset: m.Offset,
 				BodyViaMPI: true, BodySize: len(m.Body), BodyTag: tag,
 			})
-			for off := 0; off < len(m.Body); off += thr {
-				end := off + thr
-				if end > len(m.Body) {
-					end = len(m.Body)
-				}
-				vt = r.h.Isend(r.rank, tag, m.Body[off:end], vt).Wait(vt)
-			}
+			sendPieces(r, tag, m.Body, vt)
 			return
 		}
 	case *rpc.PushBlockRequest:
@@ -416,20 +400,13 @@ func (h *optOutbound) Write(ctx *netty.Context, msg any) {
 		// are header-only.
 		if !m.BodyViaMPI && len(m.Body) > 0 {
 			tag := mpi.AllocTag()
-			thr := r.h.EagerThreshold()
 			vt := ctx.VT()
 			ctx.Write(&rpc.PushBlockRequest{
 				PushID: m.PushID, ShuffleID: m.ShuffleID,
 				MapID: m.MapID, ReduceID: m.ReduceID, Sum: m.Sum,
 				BodyViaMPI: true, BodySize: len(m.Body), BodyTag: tag,
 			})
-			for off := 0; off < len(m.Body); off += thr {
-				end := off + thr
-				if end > len(m.Body) {
-					end = len(m.Body)
-				}
-				vt = r.h.Isend(r.rank, tag, m.Body[off:end], vt).Wait(vt)
-			}
+			sendPieces(r, tag, m.Body, vt)
 			return
 		}
 	}
@@ -446,15 +423,6 @@ type optInbound struct {
 func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 	r, _, _, ready := h.mc.snapshotRoute()
 	switch m := msg.(type) {
-	case *rpc.ChunkFetchSuccess:
-		if m.BodyViaMPI && ready {
-			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-			ctx.SetVT(vtime.Max(ctx.VT(), status.VT))
-			ctx.FireChannelRead(&rpc.ChunkFetchSuccess{
-				FetchID: m.FetchID, BlockID: m.BlockID, Body: data, BodySize: len(data),
-			})
-			return
-		}
 	case *rpc.StreamResponse:
 		if m.BodyViaMPI && ready {
 			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
@@ -464,11 +432,11 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 			})
 			return
 		}
-	case *rpc.BlockBatchChunk:
+	case *rpc.ChunkFetchSuccess:
 		if m.BodyViaMPI && ready {
 			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
 			ctx.SetVT(vtime.Max(ctx.VT(), status.VT))
-			ctx.FireChannelRead(&rpc.BlockBatchChunk{
+			ctx.FireChannelRead(&rpc.ChunkFetchSuccess{
 				BatchID: m.BatchID, Index: m.Index,
 				Total: m.Total, Offset: m.Offset,
 				Body: data, BodySize: len(data),
@@ -477,24 +445,7 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 		}
 	case *rpc.CollectiveChunk:
 		if m.BodyViaMPI && ready {
-			// The sender split the body into eager-sized pieces on one
-			// tag; receive them all and reassemble in non-overtaking
-			// order.
-			thr := r.h.EagerThreshold()
-			pieces := (m.BodySize + thr - 1) / thr
-			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-			vt := status.VT
-			if pieces > 1 {
-				buf := make([]byte, 0, m.BodySize)
-				buf = append(buf, data...)
-				for i := 1; i < pieces; i++ {
-					piece, st := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-					buf = append(buf, piece...)
-					vt = vtime.Max(vt, st.VT)
-				}
-				data = buf
-			}
-			ctx.SetVT(vtime.Max(ctx.VT(), vt))
+			data := recvPieces(ctx, r, m.BodyTag, m.BodySize)
 			ctx.FireChannelRead(&rpc.CollectiveChunk{
 				OpID: m.OpID, Tag: m.Tag, Src: m.Src,
 				Total: m.Total, Offset: m.Offset,
@@ -504,21 +455,7 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 		}
 	case *rpc.PushBlockRequest:
 		if m.BodyViaMPI && ready {
-			thr := r.h.EagerThreshold()
-			pieces := (m.BodySize + thr - 1) / thr
-			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-			vt := status.VT
-			if pieces > 1 {
-				buf := make([]byte, 0, m.BodySize)
-				buf = append(buf, data...)
-				for i := 1; i < pieces; i++ {
-					piece, st := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-					buf = append(buf, piece...)
-					vt = vtime.Max(vt, st.VT)
-				}
-				data = buf
-			}
-			ctx.SetVT(vtime.Max(ctx.VT(), vt))
+			data := recvPieces(ctx, r, m.BodyTag, m.BodySize)
 			ctx.FireChannelRead(&rpc.PushBlockRequest{
 				PushID: m.PushID, ShuffleID: m.ShuffleID,
 				MapID: m.MapID, ReduceID: m.ReduceID, Sum: m.Sum,
@@ -528,4 +465,40 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 		}
 	}
 	ctx.FireChannelRead(msg)
+}
+
+// sendPieces ships body over MPI on one tag as a run of eager-sized
+// pieces starting at vt, each Isend once the previous one completes;
+// recvPieces reassembles them.
+func sendPieces(r route, tag int, body []byte, vt vtime.Stamp) {
+	thr := r.h.EagerThreshold()
+	for off := 0; off < len(body); off += thr {
+		end := off + thr
+		if end > len(body) {
+			end = len(body)
+		}
+		vt = r.h.Isend(r.rank, tag, body[off:end], vt).Wait(vt)
+	}
+}
+
+// recvPieces receives the size-byte body sendPieces split on tag,
+// reassembles it in arrival order, and advances ctx's virtual time to the
+// last piece's arrival.
+func recvPieces(ctx *netty.Context, r route, tag, size int) []byte {
+	thr := r.h.EagerThreshold()
+	pieces := (size + thr - 1) / thr
+	data, status := r.h.Recv(r.rank, tag, ctx.VT())
+	vt := status.VT
+	if pieces > 1 {
+		buf := make([]byte, 0, size)
+		buf = append(buf, data...)
+		for i := 1; i < pieces; i++ {
+			piece, st := r.h.Recv(r.rank, tag, ctx.VT())
+			buf = append(buf, piece...)
+			vt = vtime.Max(vt, st.VT)
+		}
+		data = buf
+	}
+	ctx.SetVT(vtime.Max(ctx.VT(), vt))
+	return data
 }

@@ -14,7 +14,7 @@ import (
 	"mpi4spark/internal/vtime"
 )
 
-// DefaultBatchChunkBytes bounds a BlockBatchChunk body when the requester
+// DefaultBatchChunkBytes bounds a ChunkFetchSuccess body when the requester
 // does not specify a chunk size.
 const DefaultBatchChunkBytes = 1 << 20
 
@@ -324,13 +324,9 @@ func (h *dispatchHandler) ChannelRead(ctx *netty.Context, msg any) {
 		e.resolveAsk(m.ReqID, askReply{data: m.Payload, vt: vt})
 	case *RpcFailure:
 		e.resolveAsk(m.ReqID, askReply{err: errors.New(m.Error), vt: vt})
-	case *ChunkFetchRequest:
-		e.serveChunk(ch, m, vt)
-	case *ChunkFetchSuccess:
-		e.resolveAsk(m.FetchID, askReply{data: m.Body, vt: vt})
 	case *FetchBlocksRequest:
 		e.serveBatch(ch, m, vt)
-	case *BlockBatchChunk:
+	case *ChunkFetchSuccess:
 		local, remote := chanPeers(ch)
 		e.resolveBatchChunk(m, vt, remote, local)
 	case *CollectiveChunk:
@@ -341,16 +337,21 @@ func (h *dispatchHandler) ChannelRead(ctx *netty.Context, msg any) {
 			sink(m, vt)
 		}
 	case *PushBlockRequest:
-		e.servePush(ch, m, vt)
 		// Duplicate delivery of a push (a retransmitted request whose
 		// original also landed) exercises the service's idempotent ingest:
-		// the replay acks AckDuplicate and merges nothing.
+		// the replay acks AckDuplicate and merges nothing. The verdict is
+		// drawn before the original is served, because serving acks the
+		// pusher, which may read the plane's counters as soon as the ack
+		// lands.
+		dup := false
 		if bf := e.bodyFaultPlane(); bf != nil {
 			local, remote := chanPeers(ch)
 			key := fmt.Sprintf("push_%d_%d_%d", m.ShuffleID, m.MapID, m.ReduceID)
-			if bf.DupDeliver(remote, local, key, vt) {
-				e.servePush(ch, m, vt)
-			}
+			dup = bf.DupDeliver(remote, local, key, vt)
+		}
+		e.servePush(ch, m, vt)
+		if dup {
+			e.servePush(ch, m, vt)
 		}
 	case *StreamRequest:
 		e.serveStream(ch, m, vt)
@@ -492,34 +493,6 @@ func (e *Env) servePush(ch *netty.Channel, m *PushBlockRequest, vt vtime.Stamp) 
 	ch.Write(&RpcResponse{ReqID: m.PushID, Payload: ack}, svt)
 }
 
-// serveChunk answers a ChunkFetchRequest from the registered resolver.
-// Serving is serialized on the environment's stream-manager clock.
-func (e *Env) serveChunk(ch *netty.Channel, m *ChunkFetchRequest, vt vtime.Stamp) {
-	e.mu.Lock()
-	resolver := e.chunkResolver
-	e.mu.Unlock()
-	_, svt := e.chunkEngine.Occupy(vt, e.cfg.ChunkServeCost)
-	if resolver == nil {
-		ch.Write(&RpcFailure{ReqID: m.FetchID, Error: "no chunk resolver"}, svt)
-		return
-	}
-	body, ok := resolver(m.BlockID)
-	if !ok {
-		ch.Write(&RpcFailure{ReqID: m.FetchID, Error: fmt.Sprintf("block not found: %s", m.BlockID)}, svt)
-		return
-	}
-	// In-flight corruption of the served block. CorruptBody returns a
-	// damaged copy, so the resolver's stored bytes stay good and a refetch
-	// at a later stamp can draw a clean verdict.
-	if bf := e.bodyFaultPlane(); bf != nil {
-		local, remote := chanPeers(ch)
-		if nb, ok := bf.CorruptBody(local, remote, m.BlockID, body, vt); ok {
-			body = nb
-		}
-	}
-	ch.Write(&ChunkFetchSuccess{FetchID: m.FetchID, BlockID: m.BlockID, Body: body}, svt)
-}
-
 // batchServe is the server-side streaming state of one FetchBlocksRequest:
 // the resolved block bodies plus a cursor marking the next chunk to emit.
 type batchServe struct {
@@ -534,7 +507,7 @@ type batchServe struct {
 }
 
 // serveBatch answers a FetchBlocksRequest by streaming every requested
-// block back as bounded-size BlockBatchChunk messages. Blocks are resolved
+// block back as bounded-size ChunkFetchSuccess messages. Blocks are resolved
 // at dispatch time, then the batch joins the environment's serve queue:
 // a single pump goroutine emits one chunk per queue turn, round-robin
 // across all active batches, so concurrent reducers' streams interleave on
@@ -629,7 +602,7 @@ func (e *Env) serveNextChunk(b *batchServe) bool {
 	i := b.cur
 	_, svt := e.chunkEngine.Occupy(b.vt, e.cfg.ChunkServeCost)
 	if !b.found[i] {
-		b.ch.Write(&BlockBatchChunk{BatchID: b.id, Index: uint32(i), Missing: true}, svt)
+		b.ch.Write(&ChunkFetchSuccess{BatchID: b.id, Index: uint32(i), Missing: true}, svt)
 		b.cur++
 		b.off = 0
 		return b.cur < len(b.bodies)
@@ -640,7 +613,7 @@ func (e *Env) serveNextChunk(b *batchServe) bool {
 	if end > total {
 		end = total
 	}
-	b.ch.Write(&BlockBatchChunk{
+	b.ch.Write(&ChunkFetchSuccess{
 		BatchID: b.id, Index: uint32(i),
 		Total: uint64(total), Offset: uint64(b.off),
 		Body: body[b.off:end],
@@ -693,7 +666,7 @@ func (b *pendingBatch) failRemaining(err error) {
 // is) rejected by the reassembly offset guard, so duplicate delivery is
 // idempotent end to end. from/to name the sending and receiving nodes for
 // fault-plane link matching.
-func (e *Env) resolveBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string) {
+func (e *Env) resolveBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to string) {
 	if e.foldBatchChunk(m, vt, from, to, true) {
 		e.foldBatchChunk(m, vt, from, to, false)
 	}
@@ -708,7 +681,7 @@ func (e *Env) resolveBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to str
 // the append cursor is a replay (or corruption) and is dropped rather than
 // appended — appending it blindly would double-count duplicated bytes and
 // mark the block complete with garbage layout.
-func (e *Env) foldBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string, allowDup bool) (dup bool) {
+func (e *Env) foldBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to string, allowDup bool) (dup bool) {
 	metrics.GetCounter("shuffle.fetch.chunks").Inc()
 	var doneCh chan struct{}
 	e.mu.Lock()
@@ -783,22 +756,17 @@ func (r *BatchBlockResult) Release() {
 	}
 }
 
-// FetchBlockBatch fetches a batch of blocks from the peer's resolver in
-// one round-trip using the FetchBlocksRequest/BlockBatchChunk pair. It
-// blocks until every block has landed or failed and returns per-block
-// results (index-aligned with blockIDs) plus the batch completion time.
-// The top-level error covers only request-side failures (shutdown,
-// connect); per-block failures — missing blocks, a peer dying mid-batch —
-// are reported in the results so landed siblings survive.
-func (e *Env) FetchBlockBatch(peer fabric.Addr, blockIDs []string, chunkBytes int, at vtime.Stamp) ([]BatchBlockResult, vtime.Stamp, error) {
-	return e.FetchBlockBatchRange(peer, blockIDs, chunkBytes, 0, 0, at)
-}
-
-// FetchBlockBatchRange is FetchBlockBatch with a map-id range restriction:
-// merged-run block ids in the batch are served as their [mapLo, mapHi)
-// slice via the peer's registered range rewriter. mapHi == 0 means
-// unrestricted. Non-merged block ids are unaffected.
-func (e *Env) FetchBlockBatchRange(peer fabric.Addr, blockIDs []string, chunkBytes, mapLo, mapHi int, at vtime.Stamp) ([]BatchBlockResult, vtime.Stamp, error) {
+// FetchBlocks fetches blocks from the peer's resolver in one round-trip
+// using the FetchBlocksRequest/ChunkFetchSuccess pair; a single block is a
+// batch of one. Merged-run block ids are served as their [mapLo, mapHi)
+// slice via the peer's registered range rewriter; mapHi == 0 means
+// unrestricted, and other block ids are unaffected. It blocks until every
+// block has landed or failed and returns per-block results (index-aligned
+// with blockIDs) plus the batch completion time. The top-level error
+// covers only request-side failures (shutdown, connect); per-block
+// failures — missing blocks, a peer dying mid-batch — are reported in the
+// results so landed siblings survive.
+func (e *Env) FetchBlocks(peer fabric.Addr, blockIDs []string, chunkBytes, mapLo, mapHi int, at vtime.Stamp) ([]BatchBlockResult, vtime.Stamp, error) {
 	if len(blockIDs) == 0 {
 		return nil, at, nil
 	}
@@ -944,8 +912,8 @@ func (e *Env) RegisterEndpoint(name string, h Handler) error {
 	return nil
 }
 
-// RegisterChunkResolver installs the block resolver behind ChunkFetch
-// requests (the BlockTransferService server side).
+// RegisterChunkResolver installs the block resolver behind
+// FetchBlocksRequests (the BlockTransferService server side).
 func (e *Env) RegisterChunkResolver(fn func(blockID string) ([]byte, bool)) {
 	e.mu.Lock()
 	e.chunkResolver = fn
@@ -1073,24 +1041,6 @@ func (e *Env) Send(peer fabric.Addr, endpointName string, payload []byte, at vti
 	}
 	free := ch.Write(&OneWayMessage{Endpoint: endpointName, From: e.name, Payload: payload}, vt)
 	return free, nil
-}
-
-// FetchChunk fetches a block from the peer's chunk resolver using the
-// ChunkFetchRequest/Success message pair — the shuffle data path.
-func (e *Env) FetchChunk(peer fabric.Addr, blockID string, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
-	ch, vt, err := e.connTo(peer, at)
-	if err != nil {
-		return nil, at, err
-	}
-	id := e.reqSeq.Add(1)
-	reply := make(chan askReply, 1)
-	if !e.registerAsk(id, &pendingAsk{ch: ch, reply: reply}) {
-		return nil, at, ErrShutdown
-	}
-	ch.Write(&ChunkFetchRequest{FetchID: id, BlockID: blockID}, vt)
-	e.checkChannelAlive(ch)
-	r := <-reply
-	return r.data, vtime.Max(r.vt, at), r.err
 }
 
 // PushBlock pushes one committed shuffle block to the external shuffle

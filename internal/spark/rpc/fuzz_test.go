@@ -16,9 +16,14 @@ func fuzzSeeds() [][]byte {
 		&RpcResponse{ReqID: 7, Payload: []byte("ok")},
 		&RpcFailure{ReqID: 7, Error: "endpoint missing"},
 		&OneWayMessage{Endpoint: "TaskScheduler", From: "exec-0", Payload: []byte("status")},
-		&ChunkFetchRequest{FetchID: 9, BlockID: "shuffle_1_2_3"},
-		&ChunkFetchSuccess{FetchID: 9, BlockID: "shuffle_1_2_3", Body: []byte("block-bytes")},
-		&ChunkFetchSuccess{FetchID: 9, BlockID: "shuffle_1_2_3", BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 42},
+		&FetchBlocksRequest{BatchID: 9, ChunkBytes: 1 << 20, BlockIDs: []string{"shuffle_1_2_3", "shuffle_1_4_3"}},
+		&FetchBlocksRequest{BatchID: 9, ChunkBytes: 64 << 10, MapLo: 2, MapHi: 6, BlockIDs: []string{"shuffle_1_merged_3"}},
+		&ChunkFetchSuccess{BatchID: 9, Index: 1, Missing: true},
+		&ChunkFetchSuccess{BatchID: 9, Total: 11, Body: []byte("block-bytes")},
+		&ChunkFetchSuccess{BatchID: 9, Total: 4096, Offset: 1024, Body: []byte("mid-block")},
+		&ChunkFetchSuccess{BatchID: 9, Total: 1 << 20, BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 42},
+		&CollectiveChunk{OpID: 3, Tag: 2, Src: 1, Total: 12, Offset: 4, Body: []byte("partial!")},
+		&CollectiveChunk{OpID: 3, Tag: 5, Total: 1 << 20, BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 9},
 		&StreamRequest{StreamID: "jar/app.jar"},
 		&StreamResponse{StreamID: "jar/app.jar", Body: []byte("jar-bytes")},
 		&StreamResponse{StreamID: "jar/app.jar", BodyViaMPI: true, BodySize: 4096, BodyTag: 3},
@@ -127,6 +132,10 @@ func normalizeMsg(m Message) Message {
 		c.Payload = normBytes(c.Payload)
 		return &c
 	case *ChunkFetchSuccess:
+		c := *t
+		c.Body = normBytes(c.Body)
+		return &c
+	case *CollectiveChunk:
 		c := *t
 		c.Body = normBytes(c.Body)
 		return &c

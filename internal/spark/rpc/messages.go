@@ -21,10 +21,10 @@ const (
 	TypeRpcResponse
 	// TypeOneWayMessage is an RPC that does not expect a reply.
 	TypeOneWayMessage
-	// TypeChunkFetchRequest is a request to fetch a single chunk of a stream.
-	TypeChunkFetchRequest
-	// TypeChunkFetchSuccess is the response to a ChunkFetchRequest when the
-	// chunk exists and has been successfully fetched.
+	_ // 4: unassigned, so the tags after it keep their wire values
+	// TypeChunkFetchSuccess is one bounded-size piece of a block requested
+	// by a FetchBlocksRequest. A batch's reply streams as a sequence of
+	// these.
 	TypeChunkFetchSuccess
 	// TypeStreamRequest is a request to stream data from the remote end.
 	TypeStreamRequest
@@ -36,9 +36,7 @@ const (
 	// TypeFetchBlocksRequest asks for a batch of blocks in one round-trip
 	// (Spark's OpenBlocks/FetchShuffleBlocks coalescing).
 	TypeFetchBlocksRequest
-	// TypeBlockBatchChunk is one bounded-size piece of a batched block
-	// reply. A batch streams as a sequence of these.
-	TypeBlockBatchChunk
+	_ // 10: unassigned, as 4
 	// TypeCollectiveChunk is one bounded-size piece of a collective
 	// operation (tree broadcast, binomial reduce, ring allreduce) flowing
 	// rank-to-rank through the collective layer.
@@ -57,8 +55,6 @@ func (t MsgType) String() string {
 		return "RpcResponse"
 	case TypeOneWayMessage:
 		return "OneWayMessage"
-	case TypeChunkFetchRequest:
-		return "ChunkFetchRequest"
 	case TypeChunkFetchSuccess:
 		return "ChunkFetchSuccess"
 	case TypeStreamRequest:
@@ -69,8 +65,6 @@ func (t MsgType) String() string {
 		return "RpcFailure"
 	case TypeFetchBlocksRequest:
 		return "FetchBlocksRequest"
-	case TypeBlockBatchChunk:
-		return "BlockBatchChunk"
 	case TypeCollectiveChunk:
 		return "CollectiveChunk"
 	case TypePushBlock:
@@ -179,72 +173,10 @@ func (m *OneWayMessage) Encode(buf *bytebuf.Buf) {
 	buf.WriteBytes(m.Payload)
 }
 
-// ChunkFetchRequest asks for one chunk of a stream; Spark identifies it by
-// StreamChunkId. Here the stream id is the block id and FetchID correlates
-// the response.
-type ChunkFetchRequest struct {
-	FetchID int64
-	BlockID string
-}
-
-// Type implements Message.
-func (m *ChunkFetchRequest) Type() MsgType { return TypeChunkFetchRequest }
-
-// WireSize implements Message.
-func (m *ChunkFetchRequest) WireSize() int { return 1 + 8 + 4 + len(m.BlockID) }
-
-// Encode implements Message.
-func (m *ChunkFetchRequest) Encode(buf *bytebuf.Buf) {
-	buf.WriteByte(byte(TypeChunkFetchRequest))
-	buf.WriteInt64(m.FetchID)
-	buf.WriteString(m.BlockID)
-}
-
-// ChunkFetchSuccess returns a fetched chunk. It is a MessageWithHeader in
-// Spark: a small header (type, ids, body size) and a large body. The
-// MPI4Spark-Optimized design ships exactly this body over MPI while the
-// header stays on the socket; BodyViaMPI marks that encoding, and BodyTag
-// carries the MPI tag the receiver must use for the matching MPI_Recv.
-type ChunkFetchSuccess struct {
-	FetchID    int64
-	BlockID    string
-	Body       []byte
-	BodyViaMPI bool
-	BodySize   int
-	BodyTag    int
-}
-
-// Type implements Message.
-func (m *ChunkFetchSuccess) Type() MsgType { return TypeChunkFetchSuccess }
-
-// WireSize implements Message.
-func (m *ChunkFetchSuccess) WireSize() int {
-	if m.BodyViaMPI {
-		return 1 + 8 + 4 + len(m.BlockID) + 1 + 8 + 8
-	}
-	return 1 + 8 + 4 + len(m.BlockID) + 1 + 8 + len(m.Body)
-}
-
-// Encode implements Message.
-func (m *ChunkFetchSuccess) Encode(buf *bytebuf.Buf) {
-	buf.WriteByte(byte(TypeChunkFetchSuccess))
-	buf.WriteInt64(m.FetchID)
-	buf.WriteString(m.BlockID)
-	if m.BodyViaMPI {
-		buf.WriteByte(1)
-		buf.WriteUint64(uint64(m.BodySize))
-		buf.WriteInt64(int64(m.BodyTag))
-	} else {
-		buf.WriteByte(0)
-		buf.WriteUint64(uint64(len(m.Body)))
-		buf.WriteBytes(m.Body)
-	}
-}
-
 // FetchBlocksRequest asks the peer's block resolver for a batch of blocks
 // in one round-trip, the request-count collapse of Spark's
 // OpenBlocks/FetchShuffleBlocks coalescing. The reply streams back as
-// BlockBatchChunk messages of at most ChunkBytes each, so serve cost, wire
+// ChunkFetchSuccess messages of at most ChunkBytes each, so serve cost, wire
 // time, and reassembly pipeline instead of serializing on one monolithic
 // frame per block.
 type FetchBlocksRequest struct {
@@ -285,14 +217,17 @@ func (m *FetchBlocksRequest) Encode(buf *bytebuf.Buf) {
 	}
 }
 
-// BlockBatchChunk carries one bounded-size piece of one block of a batched
-// reply. Index addresses the block within the request's BlockIDs; Offset
-// and Total let the receiver reassemble. Missing marks a block the server
-// could not resolve (failing only that block, not its batch siblings).
-// Like ChunkFetchSuccess it is a MessageWithHeader: the Optimized design
-// ships the body as one eager/rendezvous MPI message per chunk, with the
-// header staying on the socket (BodyViaMPI/BodySize/BodyTag).
-type BlockBatchChunk struct {
+// ChunkFetchSuccess carries one bounded-size piece of one block of a
+// FetchBlocksRequest's reply. Index addresses the block within the
+// request's BlockIDs; Offset and Total let the receiver reassemble.
+// Missing marks a block the server could not resolve (failing only that
+// block, not its batch siblings). It is a MessageWithHeader in Spark: a
+// small header and a large body. The MPI4Spark-Optimized design ships
+// exactly this body over MPI, one eager/rendezvous message per chunk,
+// while the header stays on the socket; BodyViaMPI marks that encoding,
+// and BodyTag carries the MPI tag the receiver must use for the matching
+// MPI_Recv.
+type ChunkFetchSuccess struct {
 	BatchID    int64
 	Index      uint32
 	Missing    bool
@@ -305,10 +240,10 @@ type BlockBatchChunk struct {
 }
 
 // Type implements Message.
-func (m *BlockBatchChunk) Type() MsgType { return TypeBlockBatchChunk }
+func (m *ChunkFetchSuccess) Type() MsgType { return TypeChunkFetchSuccess }
 
 // WireSize implements Message.
-func (m *BlockBatchChunk) WireSize() int {
+func (m *ChunkFetchSuccess) WireSize() int {
 	n := 1 + 8 + 4 + 1 + 8 + 8
 	if m.BodyViaMPI {
 		return n + 1 + 8 + 8
@@ -317,8 +252,8 @@ func (m *BlockBatchChunk) WireSize() int {
 }
 
 // Encode implements Message.
-func (m *BlockBatchChunk) Encode(buf *bytebuf.Buf) {
-	buf.WriteByte(byte(TypeBlockBatchChunk))
+func (m *ChunkFetchSuccess) Encode(buf *bytebuf.Buf) {
+	buf.WriteByte(byte(TypeChunkFetchSuccess))
 	buf.WriteInt64(m.BatchID)
 	buf.WriteUint32(m.Index)
 	if m.Missing {
@@ -344,7 +279,7 @@ func (m *BlockBatchChunk) Encode(buf *bytebuf.Buf) {
 // (chunk index, tree level, or ring step — the algorithms assign tags so
 // that at most one in-flight transfer per (OpID, Tag) targets a given
 // rank), and Src the sending rank. Offset and Total let the receiver
-// reassemble multi-chunk transfers. Like the shuffle's BlockBatchChunk it
+// reassemble multi-chunk transfers. Like the shuffle's ChunkFetchSuccess it
 // is a MessageWithHeader on the Optimized design: the body ships as one
 // eager/rendezvous MPI message and the header stays on the socket
 // (BodyViaMPI/BodySize/BodyTag).
@@ -560,27 +495,6 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 			return nil, err
 		}
 		return m, nil
-	case TypeChunkFetchRequest:
-		m := &ChunkFetchRequest{}
-		if m.FetchID, err = buf.ReadInt64(); err != nil {
-			return nil, err
-		}
-		if m.BlockID, err = buf.ReadString(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeChunkFetchSuccess:
-		m := &ChunkFetchSuccess{}
-		if m.FetchID, err = buf.ReadInt64(); err != nil {
-			return nil, err
-		}
-		if m.BlockID, err = buf.ReadString(); err != nil {
-			return nil, err
-		}
-		if err := decodeBody(buf, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
-			return nil, err
-		}
-		return m, nil
 	case TypeFetchBlocksRequest:
 		m := &FetchBlocksRequest{}
 		if m.BatchID, err = buf.ReadInt64(); err != nil {
@@ -611,8 +525,8 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 			m.BlockIDs = append(m.BlockIDs, id)
 		}
 		return m, nil
-	case TypeBlockBatchChunk:
-		m := &BlockBatchChunk{}
+	case TypeChunkFetchSuccess:
+		m := &ChunkFetchSuccess{}
 		if m.BatchID, err = buf.ReadInt64(); err != nil {
 			return nil, err
 		}

@@ -20,15 +20,26 @@ func TestMessageRoundTrips(t *testing.T) {
 		&RpcResponse{ReqID: 42, Payload: []byte("ok")},
 		&RpcFailure{ReqID: 7, Error: "boom"},
 		&OneWayMessage{Endpoint: "Executor", From: "driver", Payload: []byte("launch")},
-		&ChunkFetchRequest{FetchID: 9, BlockID: "shuffle_0_1_2"},
-		&ChunkFetchSuccess{FetchID: 9, BlockID: "shuffle_0_1_2", Body: []byte("blockdata"), BodySize: 9},
-		&ChunkFetchSuccess{FetchID: 10, BlockID: "shuffle_0_1_3", BodyViaMPI: true, BodySize: 4096, BodyTag: 77},
+		&FetchBlocksRequest{BatchID: 9, ChunkBytes: 1 << 20, BlockIDs: []string{"shuffle_0_1_2", "shuffle_0_2_2"}},
+		&FetchBlocksRequest{BatchID: 10, ChunkBytes: 64 << 10, MapLo: 2, MapHi: 5, BlockIDs: []string{"shuffle_0_merged_2"}},
+		&ChunkFetchSuccess{BatchID: 9, Index: 1, Missing: true},
+		&ChunkFetchSuccess{BatchID: 9, Total: 9, Body: []byte("blockdata"), BodySize: 9},
+		&ChunkFetchSuccess{BatchID: 9, Index: 1, Total: 4096, Offset: 1024, Body: []byte("mid-block"), BodySize: 9},
+		&ChunkFetchSuccess{BatchID: 10, Total: 1 << 20, Offset: 512 << 10, BodyViaMPI: true, BodySize: 4096, BodyTag: 77},
+		&CollectiveChunk{OpID: 3, Tag: 2, Src: 1, Total: 12, Offset: 4, Body: []byte("partial!"), BodySize: 8},
+		&CollectiveChunk{OpID: 3, Tag: 5, Src: 0, Total: 1 << 20, BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 9},
+		&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef, Body: []byte("pushed"), BodySize: 6},
+		&PushBlockRequest{PushID: 12, ShuffleID: 1, MapID: 4, ReduceID: 3, Sum: 7, BodyViaMPI: true, BodySize: 1 << 16, BodyTag: 5},
 		&StreamRequest{StreamID: "jar:app.jar"},
 		&StreamResponse{StreamID: "jar:app.jar", Body: []byte("jarbytes"), BodySize: 8},
 		&StreamResponse{StreamID: "jar:big.jar", BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 3},
 	}
 	for _, m := range msgs {
 		buf := EncodeToBuf(m)
+		if _, ok := m.(*ChunkFetchSuccess); ok && buf.ReadableBytes() != m.WireSize() {
+			// Shuffle frame lengths are part of the modeled wire time.
+			t.Fatalf("%+v: encoded %d bytes, WireSize %d", m, buf.ReadableBytes(), m.WireSize())
+		}
 		got, err := Decode(buf)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Type(), err)
@@ -187,22 +198,25 @@ func TestChunkFetch(t *testing.T) {
 		d, ok := blocks[id]
 		return d, ok
 	})
-	data, vt, err := a.FetchChunk(b.Addr(), "shuffle_0_0_1", 0)
+	// A single block is a batch of one; a 64 KiB chunk size splits it.
+	rs, vt, err := a.FetchBlocks(b.Addr(), []string{"shuffle_0_0_1"}, 64<<10, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, blocks["shuffle_0_0_1"]) {
-		t.Fatal("chunk data corrupted")
+	if rs[0].Err != nil || !bytes.Equal(rs[0].Data, blocks["shuffle_0_0_1"]) {
+		t.Fatalf("chunk data corrupted: %v", rs[0].Err)
 	}
+	rs[0].Release()
 	if vt <= 0 {
 		t.Fatalf("vt = %v", vt)
 	}
-	// Missing block is an error, not a hang.
-	if _, _, err := a.FetchChunk(b.Addr(), "shuffle_9_9_9", 0); err == nil {
-		t.Fatal("missing block fetch succeeded")
+	// Missing block is a per-block error, not a hang.
+	rs, _, err = a.FetchBlocks(b.Addr(), []string{"shuffle_9_9_9"}, 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(fmt.Sprint(err), "") {
-		t.Fatal("unreachable")
+	if rs[0].Err == nil || !strings.Contains(rs[0].Err.Error(), "shuffle_9_9_9") {
+		t.Fatalf("missing block: err = %v", rs[0].Err)
 	}
 }
 
@@ -325,9 +339,12 @@ func TestMsgTypeStrings(t *testing.T) {
 		want string
 	}{
 		{TypeRpcRequest, "RpcRequest"}, {TypeRpcResponse, "RpcResponse"},
-		{TypeOneWayMessage, "OneWayMessage"}, {TypeChunkFetchRequest, "ChunkFetchRequest"},
-		{TypeChunkFetchSuccess, "ChunkFetchSuccess"}, {TypeStreamRequest, "StreamRequest"},
-		{TypeStreamResponse, "StreamResponse"}, {TypeRpcFailure, "RpcFailure"},
+		{TypeOneWayMessage, "OneWayMessage"}, {TypeChunkFetchSuccess, "ChunkFetchSuccess"},
+		{TypeStreamRequest, "StreamRequest"}, {TypeStreamResponse, "StreamResponse"},
+		{TypeRpcFailure, "RpcFailure"}, {TypeFetchBlocksRequest, "FetchBlocksRequest"},
+		{TypeCollectiveChunk, "CollectiveChunk"}, {TypePushBlock, "PushBlock"},
+		// Retired tags stay unassigned.
+		{4, "MsgType(4)"}, {10, "MsgType(10)"},
 	} {
 		if tt.ty.String() != tt.want {
 			t.Errorf("%d.String() = %q, want %q", tt.ty, tt.ty.String(), tt.want)

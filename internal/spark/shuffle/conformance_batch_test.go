@@ -13,6 +13,7 @@ import (
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/spark/shuffle"
+	"mpi4spark/internal/ucr"
 	"mpi4spark/internal/vtime"
 )
 
@@ -182,6 +183,59 @@ func TestConformanceBatchMidFailure(t *testing.T) {
 		}
 		if ff.ShuffleID != shuffleID || ff.ReduceID != 0 {
 			t.Fatalf("failure ids = shuffle %d reduce %d", ff.ShuffleID, ff.ReduceID)
+		}
+	})
+}
+
+// TestConformanceRetryAfterMissing serves a block whose resolver reports
+// it missing on the first lookup and present after that. The batched
+// request loses the block to one Missing chunk; the per-block retry — a
+// FetchBlocks batch of one on every transport — lands it bit-identical,
+// counting one retry and the block's own chunks.
+func TestConformanceRetryAfterMissing(t *testing.T) {
+	const size = 300 << 10
+	missOnce := func(resolve func(string) ([]byte, bool)) func(string) ([]byte, bool) {
+		var mu sync.Mutex
+		seen := make(map[string]bool)
+		return func(id string) ([]byte, bool) {
+			mu.Lock()
+			first := !seen[id]
+			seen[id] = true
+			mu.Unlock()
+			if first {
+				return nil, false
+			}
+			return resolve(id)
+		}
+	}
+	forEachTransport(t, func(t *testing.T, transport string) {
+		cl := newConfClusterWith(t, transport, 2, missOnce)
+		reducer, server := cl.peers[0], cl.peers[1]
+		reducer.sm.ChunkBytes = 64 << 10
+		block := confBlock(1, 0, size)
+		st := server.sm.WriteMapOutput(4, 0, [][]byte{block}, server.loc)
+
+		snap := metrics.Snapshot()
+		results, _, err := fetchGuarded(t, reducer, 4, 0, []*shuffle.MapStatus{st}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(results[0].Data, block) {
+			t.Fatalf("retried block corrupted: got %d bytes", len(results[0].Data))
+		}
+		if results[0].Release != nil {
+			results[0].Release()
+		}
+		if got := snap.DeltaValue("shuffle.fetch.retries"); got != 1 {
+			t.Fatalf("retries = %d, want 1", got)
+		}
+		chunk := reducer.sm.ChunkBytes
+		if transport == "ucr" {
+			chunk = ucr.DefaultConfig().ChunkSize // UCR ignores the hint
+		}
+		want := int64(1 + (size+chunk-1)/chunk) // the Missing chunk + the block's
+		if got := snap.DeltaValue("shuffle.fetch.chunks"); got != want {
+			t.Fatalf("chunks = %d, want %d", got, want)
 		}
 	})
 }

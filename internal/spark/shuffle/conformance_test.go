@@ -69,6 +69,16 @@ func (r *confRegistry) UCRServer(id string) (*ucr.Server, bool) {
 // transport. Remote fetches retry quickly so failure tests stay fast.
 func newConfCluster(t testing.TB, transport string, n int) *confCluster {
 	t.Helper()
+	return newConfClusterWith(t, transport, n, nil)
+}
+
+// resolverWrap decorates a peer's block resolver.
+type resolverWrap func(resolve func(string) ([]byte, bool)) func(string) ([]byte, bool)
+
+// newConfClusterWith is newConfCluster with every peer's block resolver
+// passed through wrap (nil leaves it as is).
+func newConfClusterWith(t testing.TB, transport string, n int, wrap resolverWrap) *confCluster {
+	t.Helper()
 	f := fabric.New(fabric.NewIBHDRModel())
 	cl := &confCluster{fab: f}
 
@@ -95,6 +105,9 @@ func newConfCluster(t testing.TB, transport string, n int) *confCluster {
 		resolve := func(bm *storage.BlockManager) func(string) ([]byte, bool) {
 			return func(id string) ([]byte, bool) { return bm.Get(storage.BlockID(id)) }
 		}(p.bm)
+		if wrap != nil {
+			resolve = wrap(resolve)
+		}
 
 		var err error
 		switch transport {

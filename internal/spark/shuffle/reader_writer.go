@@ -153,8 +153,7 @@ func (m *Manager) FetchShuffleParts(
 // fetches a disjoint map-range slice. Results stay indexed by global map
 // id; entries outside the range are zero (empty Data), which downstream
 // decoding already skips. Service groups are fetched as ranged merged
-// runs when the transport supports it; the per-block path is inherently
-// ranged.
+// runs; the per-block path is inherently ranged.
 func (m *Manager) FetchShuffleRange(
 	shuffleID, reduceID int,
 	statuses []*MapStatus,
@@ -324,9 +323,8 @@ func (m *Manager) fetchBatch(
 	// A group served by an external shuffle service is first tried as a
 	// single merged-run fetch — one sequential read replaces the per-map
 	// block batch. A miss (merging disabled, incomplete run, undecodable
-	// frame, or a ranged read on a transport without ranged support) falls
-	// through to the ordinary per-block path, which the service also
-	// serves.
+	// frame) falls through to the ordinary per-block path, which the
+	// service also serves.
 	if blocks[0].loc.Service {
 		if m.fetchMergedRun(shuffleID, reduceID, blocks, bts, at, results, observe, ranged, mapLo, mapHi) {
 			return
@@ -341,7 +339,7 @@ func (m *Manager) fetchBatch(
 	var rs []BatchResult
 	var err error
 	if err = m.breakerAllow(blocks[0].loc.ExecID, at); err == nil {
-		rs, _, err = bts.FetchBatch(blocks[0].loc, ids, m.ChunkBytes, at)
+		rs, _, err = bts.FetchBlocks(blocks[0].loc, ids, m.ChunkBytes, 0, 0, at)
 		if err != nil {
 			m.breakerFailure(blocks[0].loc.ExecID, at)
 		}
@@ -361,15 +359,13 @@ func (m *Manager) fetchBatch(
 		if r.Err == nil {
 			if verr := m.verifyBlock(shuffleID, reduceID, blk, r.Data, r.VT); verr != nil {
 				metrics.GetCounter(CounterIntegrityRefetches).Inc()
-				if r.Release != nil {
-					r.Release()
-				}
+				r.release()
 				r = BatchResult{VT: r.VT, Err: verr}
 			}
 		}
 		if abortedNow() {
-			if r.Err == nil && r.Release != nil {
-				r.Release()
+			if r.Err == nil {
+				r.release()
 			}
 			return
 		}
@@ -377,9 +373,7 @@ func (m *Manager) fetchBatch(
 			// The block arrived past the attempt's budget: the real
 			// fetcher would have timed the request out and retried.
 			metrics.GetCounter("shuffle.fetch.timeouts").Inc()
-			if r.Release != nil {
-				r.Release()
-			}
+			r.release()
 			r = BatchResult{
 				VT:  at.Add(m.Retry.FetchDeadline),
 				Err: fmt.Errorf("fetch %s from %s exceeded deadline %v", blk.blockID, blk.loc.ExecID, m.Retry.FetchDeadline),
@@ -393,20 +387,20 @@ func (m *Manager) fetchBatch(
 			continue
 		}
 		// Per-block fallback: the batch attempt counts as attempt zero, so
-		// the retry budget and backoff schedule match the unbatched path.
-		data, vt, err := m.fetchWithRetry(bts, blk.loc, blk.blockID, vtime.Max(at, r.VT), abortedNow, r.Err,
+		// the retry budget and backoff schedule match a fresh fetch.
+		r = m.fetchWithRetry(bts, blk.loc, blk.blockID, vtime.Max(at, r.VT), abortedNow, r.Err,
 			func(d []byte, vt vtime.Stamp) error { return m.verifyBlock(shuffleID, reduceID, blk, d, vt) })
-		if err != nil {
+		if r.Err != nil {
 			metrics.GetCounter("shuffle.fetch.failures").Inc()
 			fail(&FetchFailedError{
 				ShuffleID: shuffleID, MapID: blk.mapID, ReduceID: reduceID, Loc: blk.loc,
-				Err: err,
+				Err: r.Err,
 			})
 			return
 		}
-		observe(vt)
-		metrics.GetCounter("shuffle.fetch.bytes_remote").Add(int64(len(data)))
-		results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: data}
+		observe(r.VT)
+		metrics.GetCounter("shuffle.fetch.bytes_remote").Add(int64(len(r.Data)))
+		results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: r.Data, Release: r.Release}
 	}
 }
 
@@ -451,42 +445,28 @@ func (m *Manager) fetchMergedRun(
 	mapLo, mapHi int,
 ) bool {
 	id := MergedBlockID(shuffleID, reduceID)
-	var rs []BatchResult
-	var err error
-	if ranged {
-		rf, ok := bts.(RangeFetcher)
-		if !ok {
-			return false
-		}
-		metrics.GetCounter("shuffle.fetch.requests").Inc()
-		rs, _, err = rf.FetchBatchRange(blocks[0].loc, []storage.BlockID{id}, m.ChunkBytes, mapLo, mapHi, at)
-	} else {
-		metrics.GetCounter("shuffle.fetch.requests").Inc()
-		rs, _, err = bts.FetchBatch(blocks[0].loc, []storage.BlockID{id}, m.ChunkBytes, at)
+	if !ranged {
+		mapLo, mapHi = 0, 0
 	}
+	metrics.GetCounter("shuffle.fetch.requests").Inc()
+	rs, _, err := bts.FetchBlocks(blocks[0].loc, []storage.BlockID{id}, m.ChunkBytes, mapLo, mapHi, at)
 	if err != nil || len(rs) != 1 {
 		return false
 	}
 	r := rs[0]
 	if r.Err != nil {
-		if r.Release != nil {
-			r.Release()
-		}
+		r.release()
 		return false
 	}
 	if m.Retry.FetchDeadline > 0 && r.VT > at.Add(m.Retry.FetchDeadline) {
 		metrics.GetCounter("shuffle.fetch.timeouts").Inc()
-		if r.Release != nil {
-			r.Release()
-		}
+		r.release()
 		return false
 	}
 	entries, derr := DecodeMergedRun(r.Data)
 	// DecodeMergedRun copies entry bytes out of the frame, so pooled
 	// backing memory goes back before the results are consumed.
-	if r.Release != nil {
-		r.Release()
-	}
+	r.release()
 	// With write-time sums for the whole group, every anomaly in a landed
 	// run — a frame that no longer decodes, a requested map id that went
 	// missing (a flipped id field), a sum header or payload that disagrees
@@ -552,20 +532,22 @@ func (m *Manager) fetchMergedRun(
 	return true
 }
 
-// fetchWithRetry runs one block fetch under the manager's RetryPolicy.
-// Backoff and deadline accounting advance the attempt's virtual-time
-// stamp only — no wall-clock sleeping — so the schedule is deterministic;
-// each backoff carries deterministic jitter so sibling reducers retrying
-// one peer after a flap decorrelate instead of stampeding. A non-nil
-// prevErr records an attempt that already failed (the batched request), so
-// retrying starts at attempt one with its backoff. giveUp short-circuits
-// remaining retries once a sibling fetch has already declared a block
-// lost. verify (nil = none) checks a landed body — before the deadline
-// check, so a late corrupt block still counts as detected — and its error
-// is retried like any other failure: a refetch at a later stamp draws
-// fresh network verdicts. Every attempt passes the per-peer circuit
-// breaker; a tripped breaker fails the fetch fast onto the degradation
-// chain (FetchFailedError, service blacklist, map-stage recompute).
+// fetchWithRetry runs one block fetch under the manager's RetryPolicy,
+// each attempt a FetchBlocks batch of one. Backoff and deadline accounting
+// advance the attempt's virtual-time stamp only — no wall-clock sleeping —
+// so the schedule is deterministic; each backoff carries deterministic
+// jitter so sibling reducers retrying one peer after a flap decorrelate
+// instead of stampeding. A non-nil prevErr records an attempt that already
+// failed (the batched request), so retrying starts at attempt one with its
+// backoff. giveUp short-circuits remaining retries once a sibling fetch has
+// already declared a block lost. verify (nil = none) checks a landed body —
+// before the deadline check, so a late corrupt block still counts as
+// detected — and its error is retried like any other failure: a refetch at
+// a later stamp draws fresh network verdicts. A body an attempt discards
+// is released at once. Every attempt passes the per-peer circuit breaker;
+// a tripped breaker fails the fetch fast onto the degradation chain
+// (FetchFailedError, service blacklist, map-stage recompute). On success
+// the result's Release (nil when unpooled) passes to the caller.
 func (m *Manager) fetchWithRetry(
 	bts BlockTransferService,
 	loc Location,
@@ -574,7 +556,7 @@ func (m *Manager) fetchWithRetry(
 	giveUp func() bool,
 	prevErr error,
 	verify func([]byte, vtime.Stamp) error,
-) ([]byte, vtime.Stamp, error) {
+) BatchResult {
 	p := m.Retry
 	attemptAt := at
 	lastErr := prevErr
@@ -602,36 +584,42 @@ func (m *Manager) fetchWithRetry(
 			break
 		}
 		metrics.GetCounter("shuffle.fetch.requests").Inc()
-		data, vt, err := bts.Fetch(loc, blockID, attemptAt)
-		if err != nil {
+		rs, vt, err := bts.FetchBlocks(loc, []storage.BlockID{blockID}, m.ChunkBytes, 0, 0, attemptAt)
+		r := BatchResult{VT: vt, Err: err}
+		if err == nil {
+			r = rs[0]
+		}
+		if r.Err != nil {
 			m.breakerFailure(loc.ExecID, attemptAt)
-			lastErr = err
-			attemptAt = vtime.Max(attemptAt, vt)
+			lastErr = r.Err
+			attemptAt = vtime.Max(attemptAt, r.VT)
 			continue
 		}
 		if verify != nil {
-			if verr := verify(data, vt); verr != nil {
+			if verr := verify(r.Data, r.VT); verr != nil {
 				metrics.GetCounter(CounterIntegrityRefetches).Inc()
 				m.breakerFailure(loc.ExecID, attemptAt)
+				r.release()
 				lastErr = verr
-				attemptAt = vtime.Max(attemptAt, vt)
+				attemptAt = vtime.Max(attemptAt, r.VT)
 				continue
 			}
 		}
-		if p.FetchDeadline > 0 && vt > attemptAt.Add(p.FetchDeadline) {
+		if p.FetchDeadline > 0 && r.VT > attemptAt.Add(p.FetchDeadline) {
 			// The block arrived past the attempt's budget: the real
 			// fetcher would have timed the request out and retried.
 			metrics.GetCounter("shuffle.fetch.timeouts").Inc()
 			m.breakerFailure(loc.ExecID, attemptAt)
+			r.release()
 			lastErr = fmt.Errorf("fetch %s from %s exceeded deadline %v", blockID, loc.ExecID, p.FetchDeadline)
 			attemptAt = attemptAt.Add(p.FetchDeadline)
 			continue
 		}
 		m.breakerSuccess(loc.ExecID)
-		return data, vt, nil
+		return r
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("fetch %s from %s aborted", blockID, loc.ExecID)
 	}
-	return nil, attemptAt, lastErr
+	return BatchResult{VT: attemptAt, Err: lastErr}
 }

@@ -30,7 +30,7 @@ func TestProbeServerThroughput(t *testing.T) {
 		go func(cl *Client) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				_, vt, err := cl.FetchBlock("b", 0)
+				_, vt, err := fetchOne(cl, "b", 0)
 				if err != nil {
 					t.Error(err)
 					return

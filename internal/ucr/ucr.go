@@ -285,51 +285,6 @@ type Client struct {
 	mu sync.Mutex
 }
 
-// FetchBlock retrieves a whole block by id, returning its bytes and the
-// virtual time the final chunk arrived.
-func (c *Client) FetchBlock(blockID string, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.qp.PostSend([]byte(blockID), at); err != nil {
-		return nil, at, err
-	}
-	var out []byte
-	var got uint64
-	vt := at
-	for {
-		comp, err := c.qp.CQ().Wait()
-		if err != nil {
-			return nil, vt, err
-		}
-		if comp.Op != "recv" {
-			continue
-		}
-		total, off, n, err := decodeChunkHeader(comp.Data)
-		if err != nil {
-			return nil, vt, err
-		}
-		if total == ^uint64(0) {
-			return nil, vtime.Max(vt, comp.VT), fmt.Errorf("%w: %s", ErrNotFound, blockID)
-		}
-		if chunkHeaderLen+int(n) > len(comp.Data) || off+uint64(n) > total {
-			return nil, vt, fmt.Errorf("ucr: malformed chunk for %s: off %d + n %d vs total %d, frame %d",
-				blockID, off, n, total, len(comp.Data))
-		}
-		vt = vtime.Max(vt, comp.VT)
-		if off != got {
-			continue // replayed chunk: reassembly appends at got, bytes already folded
-		}
-		if out == nil {
-			out = make([]byte, total)
-		}
-		copy(out[off:], comp.Data[chunkHeaderLen:chunkHeaderLen+int(n)])
-		got += uint64(n)
-		if got >= total {
-			return out, vt, nil
-		}
-	}
-}
-
 // BlockResult is one block's outcome within a batched fetch.
 type BlockResult struct {
 	Data []byte

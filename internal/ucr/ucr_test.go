@@ -9,6 +9,7 @@ import (
 
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/rdma"
+	"mpi4spark/internal/vtime"
 )
 
 func newServerClient(t *testing.T, blocks map[string][]byte, cfg Config) (*Client, *Server) {
@@ -32,10 +33,19 @@ func newServerClient(t *testing.T, blocks map[string][]byte, cfg Config) (*Clien
 	return client, srv
 }
 
+// fetchOne fetches a single block as a batch of one.
+func fetchOne(c *Client, blockID string, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
+	rs, vt, err := c.FetchBlocks([]string{blockID}, at)
+	if err != nil {
+		return nil, vt, err
+	}
+	return rs[0].Data, rs[0].VT, rs[0].Err
+}
+
 func TestFetchSmallBlock(t *testing.T) {
 	blocks := map[string][]byte{"b1": []byte("hello ucr")}
 	c, _ := newServerClient(t, blocks, DefaultConfig())
-	data, vt, err := c.FetchBlock("b1", 0)
+	data, vt, err := fetchOne(c, "b1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +65,7 @@ func TestFetchMultiChunkBlock(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ChunkSize = 64 << 10
 	c, _ := newServerClient(t, map[string][]byte{"big": big}, cfg)
-	data, _, err := c.FetchBlock("big", 0)
+	data, _, err := fetchOne(c, "big", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +76,7 @@ func TestFetchMultiChunkBlock(t *testing.T) {
 
 func TestFetchEmptyBlock(t *testing.T) {
 	c, _ := newServerClient(t, map[string][]byte{"empty": {}}, DefaultConfig())
-	data, _, err := c.FetchBlock("empty", 0)
+	data, _, err := fetchOne(c, "empty", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +87,7 @@ func TestFetchEmptyBlock(t *testing.T) {
 
 func TestFetchMissingBlock(t *testing.T) {
 	c, _ := newServerClient(t, map[string][]byte{}, DefaultConfig())
-	_, _, err := c.FetchBlock("nope", 0)
+	_, _, err := fetchOne(c, "nope", 0)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -92,7 +102,7 @@ func TestSequentialFetches(t *testing.T) {
 	var last int64
 	for i := 0; i < 5; i++ {
 		id := string(rune('a' + i))
-		data, vt, err := c.FetchBlock(id, 0)
+		data, vt, err := fetchOne(c, id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +121,7 @@ func TestPerChunkOverheadShapesCost(t *testing.T) {
 	mk := func(overhead time.Duration) int64 {
 		cfg := Config{ChunkSize: 128 << 10, PerChunkOverhead: overhead}
 		c, _ := newServerClient(t, map[string][]byte{"b": big}, cfg)
-		_, vt, err := c.FetchBlock("b", 0)
+		_, vt, err := fetchOne(c, "b", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +154,7 @@ func TestUCRSlowerThanRawVerbsButFasterThanTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, vt, err := c.FetchBlock("b", 0)
+	_, vt, err := fetchOne(c, "b", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
